@@ -729,7 +729,8 @@ let serve_cmd data store_path socket_path tcp_port host workers shed_at pressure
      commit appends + fsyncs, so kill -9 after the response cannot lose
      it (restart replays the log). *)
   (match persistent with
-  | Some st -> Ssd_serve.Engine.set_persist store (fun g -> Ssd_store.Store.commit st g)
+  | Some st ->
+    Ssd_serve.Engine.set_persist store (fun g delta -> Ssd_store.Store.commit ~delta st g)
   | None -> ());
   let engine = Ssd_serve.Engine.create ~config store in
   let addr =
@@ -752,6 +753,9 @@ let serve_cmd data store_path socket_path tcp_port host workers shed_at pressure
   let healthz () =
     let snap = Ssd_obs.Metrics.snapshot ~prefix:"store." Ssd_obs.Metrics.default in
     let g name = List.assoc_opt name snap.Ssd_obs.Metrics.snap_gauges in
+    (* A poisoned store (a commit failed part-way) refuses writes until
+       restarted: report it unhealthy. *)
+    let poisoned = g "store.poisoned" = Some 1. in
     let store_doc =
       match persistent with
       | None -> [ ("store", J.Null) ]
@@ -763,6 +767,7 @@ let serve_cmd data store_path socket_path tcp_port host workers shed_at pressure
             J.Obj
               [
                 ("clean", J.Bool (g "store.clean" = Some 1.));
+                ("poisoned", J.Bool poisoned);
                 ("wal_backlog_bytes", num "store.wal_backlog_bytes");
                 ("dirty_pages", num "store.dirty_pages");
                 ("pages", num "store.pages");
@@ -778,11 +783,11 @@ let serve_cmd data store_path socket_path tcp_port host workers shed_at pressure
     in
     ( J.Obj
         ([
-           ("status", J.String "ok");
+           ("status", J.String (if poisoned then "poisoned" else "ok"));
            ("uptime_s", J.Float (Unix.gettimeofday () -. started_at));
          ]
         @ store_doc),
-      true )
+      not poisoned )
   in
   let varz () =
     J.Obj

@@ -188,6 +188,7 @@ let codes =
     ("SSD563", Error, "store: dangling page reference");
     ("SSD564", Error, "store: malformed segment");
     ("SSD565", Note, "store: recovery pending (not closed cleanly)");
+    ("SSD566", Error, "store: a previous commit failed; reopen to recover");
   ]
 
 let describe code =

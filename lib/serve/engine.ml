@@ -102,9 +102,10 @@ type store = {
   cache : Unql.Cache.t;
   inflight : int Atomic.t;
   req_seq : int Atomic.t;
-  (* Durability hook: called under the lock with the new graph before
-     the in-memory swap, so a failed persist leaves memory unchanged. *)
-  mutable persist : (Graph.t -> unit) option;
+  (* Durability hook: called under the lock with the new graph and its
+     delta before the in-memory swap, so a failed persist leaves memory
+     unchanged. *)
+  mutable persist : (Graph.t -> Ssd_incr.Delta.t -> unit) option;
   (* Annotated DataGuide for slow-query cardinality estimates, cached
      by graph fingerprint (building it walks the whole graph; slow
      queries on the same database should pay once). *)
@@ -728,16 +729,18 @@ let do_update t (opts : Proto.options) body =
     locked t.st (fun () ->
         let old_db = t.st.db in
         let db' = Lorel.Update.run ~db:old_db body in
+        (* The one edge diff of this UPDATE: persistence, cache
+           revalidation and subscriptions all consume it. *)
+        let d = Ssd_incr.Delta.diff old_db db' in
         (* Persist before swap: a failed write leaves memory (and the
            cache) exactly as it was, and the error propagates as the
            response.  The persist layer (Store.commit) acknowledges only
            after its WAL fsync, so a successful UPDATE response implies
            the change survives a crash. *)
-        (match t.st.persist with Some f -> f db' | None -> ());
+        (match t.st.persist with Some f -> f db' d | None -> ());
         (* Delta-driven cache revalidation: entries whose query
            footprint is disjoint from the update's labels are re-keyed
            to the new graph instead of dropped. *)
-        let d = Ssd_incr.Delta.diff old_db db' in
         let delta_labels = Ssd_incr.Delta.touched_labels d in
         let keep qtext =
           Unql.Footprint.disjoint (footprint_of t.st qtext) delta_labels

@@ -92,12 +92,14 @@ val store : ?cache_capacity:int -> db:Ssd.Graph.t -> unit -> store
 val store_db : store -> Ssd.Graph.t
 
 (** Install a durability hook: on every [UPDATE] it is called under the
-    store lock with the new graph {e before} the in-memory swap — if it
-    raises, the database-of-record and cache are untouched and the
-    client gets the error.  Used by [ssdql serve --store] to route
-    updates through {!Ssd_store.Store.commit} (WAL append + fsync), so
-    an acknowledged UPDATE survives [kill -9]. *)
-val set_persist : store -> (Ssd.Graph.t -> unit) -> unit
+    store lock with the new graph and its edge delta from the current
+    database-of-record ([Ssd_incr.Delta.diff old new], computed once per
+    update) {e before} the in-memory swap — if it raises, the
+    database-of-record and cache are untouched and the client gets the
+    error.  Used by [ssdql serve --store] to route updates through
+    {!Ssd_store.Store.commit} (WAL append + fsync), so an acknowledged
+    UPDATE survives [kill -9]. *)
+val set_persist : store -> (Ssd.Graph.t -> Ssd_incr.Delta.t -> unit) -> unit
 
 (** The shared cache's counters (hits/misses/invalidations). *)
 val cache_stats : store -> Unql.Cache.stats

@@ -24,7 +24,9 @@ let frame_overhead = 16
 let default_page_size = 4096
 let min_page_size = 128
 let magic = "SSDP"
-let version = 1
+(* Version 2: the graph codec is dictionary + CSR everywhere, including
+   inside the DataGuide segment. *)
+let version = 2
 
 let payload_capacity ~page_size = page_size - frame_overhead
 

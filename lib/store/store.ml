@@ -25,6 +25,7 @@
      all of this. *)
 
 module B = Ssd_storage.Bytesio
+module Codec = Ssd_storage.Codec
 module Graph = Ssd.Graph
 module Metrics = Ssd_obs.Metrics
 module Trace = Ssd_obs.Trace
@@ -59,8 +60,16 @@ let g_pool_occupancy = Metrics.gauge "store.bufpool_pages"
 let g_pool_capacity = Metrics.gauge "store.bufpool_capacity"
 let g_last_recovery_txns = Metrics.gauge "store.last_recovery_txns"
 let g_last_recovery_torn = Metrics.gauge "store.last_recovery_torn_bytes"
+let g_poisoned = Metrics.gauge "store.poisoned"
 
 let all_indexes = [ "value"; "text"; "path"; "guide" ]
+
+(* An index segment's in-memory structure. *)
+type index =
+  | Value of Value_index.t
+  | Text of Text_index.t
+  | Path of Path_index.t
+  | Guide of Dataguide.t
 
 type recovery = {
   recovered_txns : int;
@@ -80,12 +89,9 @@ type t = {
   pool : Bufpool.t;
   mutable wal_size : int;
   mutable graph : Graph.t;
-  mutable dict : string array;
   mutable seg_payloads : (string * bytes) list; (* current version's segments *)
-  mutable vindex : Value_index.t option;
-  mutable tindex : Text_index.t option;
-  mutable pindex : Path_index.t option;
-  mutable guide : Dataguide.t option;
+  (* Index structures loaded or built so far, by segment name. *)
+  cached : (string, index) Hashtbl.t;
   (* Live incremental maintainer for the index segments (lib/incr);
      seeded lazily on the first commit from whatever is cached or
      checkpointed, then advanced by the delta of each commit. *)
@@ -94,6 +100,11 @@ type t = {
   checkpoint_every : int;
   mutable txns_since_ckpt : int;
   mutable closed : bool;
+  (* Set when a commit fails part-way: the WAL tail, the maintainer and
+     the cached indexes may no longer agree with [graph], so the store
+     refuses writes until it is reopened (recovery rebuilds a consistent
+     state from the log). *)
+  mutable poisoned : bool;
   recovery : recovery;
 }
 
@@ -122,6 +133,7 @@ let update_gauges st =
   Metrics.set g_dirty (float_of_int (Hashtbl.length st.dirty));
   Metrics.set g_txns_since_ckpt (float_of_int st.txns_since_ckpt);
   Metrics.set g_clean (if st.sb.Page.clean then 1. else 0.);
+  Metrics.set g_poisoned (if st.poisoned then 1. else 0.);
   Metrics.set g_pool_occupancy (float_of_int (Bufpool.occupancy st.pool));
   Metrics.set g_pool_capacity (float_of_int (Bufpool.capacity st.pool))
 
@@ -197,6 +209,7 @@ let segment_bytes st (s : Page.seg) =
    fsync.  The caller's state is updated only after the fsync returns,
    so an acknowledged commit is durable by construction. *)
 let append_txn st ~pages sb' =
+  let start = st.wal_size in
   let lsn = st.sb.Page.next_lsn in
   let sb' = { sb' with Page.next_lsn = lsn + 1 } in
   let sb_page = Page.frame ~page_size:st.page_size ~lsn (Page.encode_superblock sb') in
@@ -204,13 +217,26 @@ let append_txn st ~pages sb' =
     List.map (fun (p, img) -> Wal.encode_frame ~typ:Wal.t_page ~lsn ~arg:p img) pages
     @ [ Wal.encode_frame ~typ:Wal.t_commit ~lsn ~arg:(List.length pages) sb_page ]
   in
-  List.iter
-    (fun fr ->
-      Vfs.really_pwrite st.wal fr ~off:st.wal_size;
-      st.wal_size <- st.wal_size + Bytes.length fr;
-      Metrics.add m_wal_bytes (Bytes.length fr))
-    frames;
-  st.wal.Vfs.fsync ();
+  (try
+     List.iter
+       (fun fr ->
+         Vfs.really_pwrite st.wal fr ~off:st.wal_size;
+         st.wal_size <- st.wal_size + Bytes.length fr;
+         Metrics.add m_wal_bytes (Bytes.length fr))
+       frames;
+     st.wal.Vfs.fsync ()
+   with
+  | Vfs.Crash as e -> raise e (* simulated process death: nothing runs after it *)
+  | e ->
+    (* An I/O error: the transaction is not acknowledged, so cut the log
+       back to where it began — recovery must not replay it.  Best
+       effort; the caller poisons the store either way. *)
+    st.wal_size <- start;
+    (try
+       st.wal.Vfs.truncate start;
+       st.wal.Vfs.fsync ()
+     with _ -> ());
+    raise e);
   (* Durable: fold the transaction into the overlay. *)
   List.iter
     (fun (p, img) ->
@@ -226,60 +252,46 @@ let append_txn st ~pages sb' =
 (* Index (re)construction                                              *)
 (* ------------------------------------------------------------------ *)
 
-let load_seg st name of_bytes =
-  match find_seg st name with
-  | None -> None
-  | Some s -> Some (of_bytes (segment_bytes st s))
+(* The one dispatch on an index segment's name: how to build the index
+   from a graph and how to decode its checkpointed segment. *)
+let index_codec name : (path_depth:int -> Graph.t -> index) * (bytes -> index) =
+  match name with
+  | "value" ->
+    ((fun ~path_depth:_ g -> Value (Value_index.build g)), fun b -> Value (Value_index.of_bytes b))
+  | "text" ->
+    ((fun ~path_depth:_ g -> Text (Text_index.build g)), fun b -> Text (Text_index.of_bytes b))
+  | "path" ->
+    ( (fun ~path_depth g -> Path (Path_index.build ~depth:path_depth g)),
+      fun b -> Path (Path_index.of_bytes b) )
+  | "guide" ->
+    ((fun ~path_depth:_ g -> Guide (Dataguide.build g)), fun b -> Guide (Dataguide.of_bytes b))
+  | other -> fail "store: unknown index segment %S" other
 
-(* Lazy index getters: serve from the in-memory cache, else deserialize
-   the checkpointed segment (no rebuild), else build from the graph. *)
-let value_index st =
-  match st.vindex with
+let index_to_bytes = function
+  | Value ix -> Value_index.to_bytes ix
+  | Text ix -> Text_index.to_bytes ix
+  | Path ix -> Path_index.to_bytes ix
+  | Guide dg -> Dataguide.to_bytes dg
+
+(* Lazy index access: the in-memory cache, else the checkpointed segment
+   (deserialized, no rebuild), else a build from the graph. *)
+let index st name =
+  match Hashtbl.find_opt st.cached name with
   | Some ix -> ix
   | None ->
+    let build, of_bytes = index_codec name in
     let ix =
-      match load_seg st "value" Value_index.of_bytes with
-      | Some ix -> ix
-      | None -> Value_index.build st.graph
+      match find_seg st name with
+      | Some s -> of_bytes (segment_bytes st s)
+      | None -> build ~path_depth:st.path_depth st.graph
     in
-    st.vindex <- Some ix;
+    Hashtbl.replace st.cached name ix;
     ix
 
-let text_index st =
-  match st.tindex with
-  | Some ix -> ix
-  | None ->
-    let ix =
-      match load_seg st "text" Text_index.of_bytes with
-      | Some ix -> ix
-      | None -> Text_index.build st.graph
-    in
-    st.tindex <- Some ix;
-    ix
-
-let path_index st =
-  match st.pindex with
-  | Some ix -> ix
-  | None ->
-    let ix =
-      match load_seg st "path" Path_index.of_bytes with
-      | Some ix -> ix
-      | None -> Path_index.build ~depth:st.path_depth st.graph
-    in
-    st.pindex <- Some ix;
-    ix
-
-let dataguide st =
-  match st.guide with
-  | Some dg -> dg
-  | None ->
-    let dg =
-      match load_seg st "guide" Dataguide.of_bytes with
-      | Some dg -> dg
-      | None -> Dataguide.build st.graph
-    in
-    st.guide <- Some dg;
-    dg
+let value_index st = match index st "value" with Value ix -> ix | _ -> assert false
+let text_index st = match index st "text" with Text ix -> ix | _ -> assert false
+let path_index st = match index st "path" with Path ix -> ix | _ -> assert false
+let dataguide st = match index st "guide" with Guide dg -> dg | _ -> assert false
 
 (* Advance (or lazily seed) the incremental maintainer so the index
    segments for [g] come from delta maintenance instead of full
@@ -287,8 +299,9 @@ let dataguide st =
    the current version — no rebuild there either.  Monotone deltas
    (Lorel inserts) take the insert-only fast paths; anything else makes
    the maintainer rebuild internally, which it accounts on its own
-   [incr.*] instruments. *)
-let maintain_indexes st ~index_names g =
+   [incr.*] instruments.  [delta], when given, is the caller's
+   [Delta.diff] from the current graph to [g]. *)
+let maintain_indexes st ~index_names ?delta g =
   if index_names <> [] then begin
     let state =
       match st.incr with
@@ -306,79 +319,28 @@ let maintain_indexes st ~index_names g =
         st.incr <- Some state;
         state
     in
-    let (_ : Incr_state.outcome) =
-      Incr_state.advance state g (Delta.diff (Incr_state.graph state) g)
+    let delta =
+      match delta with
+      | Some d -> d
+      | None -> Delta.diff (Incr_state.graph state) g
     in
-    (* Refresh the caches from the maintainer (the text index is
-       replaced on apply, not mutated in place; the guide materializes
-       here). *)
-    (match Incr_state.value_index state with
-    | Some ix -> st.vindex <- Some ix
-    | None -> ());
-    (match Incr_state.text_index state with
-    | Some ix -> st.tindex <- Some ix
-    | None -> ());
-    (match Incr_state.path_index state with
-    | Some ix -> st.pindex <- Some ix
-    | None -> ());
-    match Incr_state.dataguide state with
-    | Some dg -> st.guide <- Some dg
-    | None -> ()
+    let (_ : Incr_state.outcome) = Incr_state.advance state g delta in
+    (* Refresh the cache from the maintainer (the text index is replaced
+       on apply, not mutated in place; the guide materializes here). *)
+    let refresh name wrap = Option.iter (fun ix -> Hashtbl.replace st.cached name (wrap ix)) in
+    refresh "value" (fun ix -> Value ix) (Incr_state.value_index state);
+    refresh "text" (fun ix -> Text ix) (Incr_state.text_index state);
+    refresh "path" (fun ix -> Path ix) (Incr_state.path_index state);
+    refresh "guide" (fun dg -> Guide dg) (Incr_state.dataguide state)
   end
 
-let build_index_payload st name g =
-  (* When the maintainer has just advanced to [g], the caches hold its
-     structures; otherwise (store creation, maintained set mismatch)
-     build from scratch. *)
-  let maintained =
-    match st.incr with
-    | Some state -> Incr_state.graph state == g
-    | None -> false
-  in
-  match name with
-  | "value" ->
-    let ix =
-      match st.vindex with
-      | Some ix when maintained -> ix
-      | _ -> Value_index.build g
-    in
-    st.vindex <- Some ix;
-    Value_index.to_bytes ix
-  | "text" ->
-    let ix =
-      match st.tindex with
-      | Some ix when maintained -> ix
-      | _ -> Text_index.build g
-    in
-    st.tindex <- Some ix;
-    Text_index.to_bytes ix
-  | "path" ->
-    let ix =
-      match st.pindex with
-      | Some ix when maintained -> ix
-      | _ -> Path_index.build ~depth:st.path_depth g
-    in
-    st.pindex <- Some ix;
-    Path_index.to_bytes ix
-  | "guide" ->
-    let dg =
-      match st.guide with
-      | Some dg when maintained -> dg
-      | _ -> Dataguide.build g
-    in
-    st.guide <- Some dg;
-    Dataguide.to_bytes dg
-  | other -> fail "store: unknown index segment %S" other
-
-(* Segment payloads for a graph version: dict, CSR graph, and the
-   maintained index segments. *)
-let encode_version st ~index_names g =
-  let dict = Seg.dict_of_graph g in
-  let segs =
-    [ ("dict", Seg.encode_dict dict); ("graph", Seg.encode_graph ~dict g) ]
-    @ List.map (fun n -> (n, build_index_payload st n g)) index_names
-  in
-  (dict, order_segs segs)
+(* Segment payloads for a graph version, in layout order: the codec's
+   dictionary and CSR parts, then the named index segments. *)
+let version_segments g indexes =
+  let dict_b, graph_b = Codec.encode_parts g in
+  order_segs
+    (("dict", dict_b) :: ("graph", graph_b)
+    :: List.map (fun (name, ix) -> (name, index_to_bytes ix)) indexes)
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprint                                                         *)
@@ -391,8 +353,8 @@ let fingerprint_of_payloads dict_b graph_b =
   B.crc32_update c graph_b 0 (Bytes.length graph_b)
 
 let fingerprint_graph g =
-  let dict = Seg.dict_of_graph g in
-  fingerprint_of_payloads (Seg.encode_dict dict) (Seg.encode_graph ~dict g)
+  let dict_b, graph_b = Codec.encode_parts g in
+  fingerprint_of_payloads dict_b graph_b
 
 let fingerprint st =
   fingerprint_of_payloads
@@ -426,9 +388,14 @@ let open_ ?(pool_pages = 64) ?(checkpoint_every = max_int) (vfs : Vfs.t) =
     fail "store: no data file (not a store, or not initialized)";
   let data = vfs.Vfs.open_file data_file in
   let wal = vfs.Vfs.open_file wal_file in
-  let hdr = Bytes.create Page.header_size in
-  Vfs.really_pread data hdr ~off:0;
-  let page_size = Page.decode_header hdr in
+  let page_size =
+    let hdr = Bytes.create Page.header_size in
+    try
+      Vfs.really_pread data hdr ~off:0;
+      Page.decode_header hdr
+    with B.Corrupt { offset; expected; found } ->
+      fail "store: bad store header at byte %d: expected %s, found %s" offset expected found
+  in
   (* Analysis: scan the log, discarding the torn tail. *)
   let wal_bytes = Vfs.read_all wal in
   if Bytes.length wal_bytes = 0 then begin
@@ -469,17 +436,14 @@ let open_ ?(pool_pages = 64) ?(checkpoint_every = max_int) (vfs : Vfs.t) =
       pool;
       wal_size = Wal.header_size;
       graph = Graph.empty;
-      dict = [||];
       seg_payloads = [];
-      vindex = None;
-      tindex = None;
-      pindex = None;
-      guide = None;
+      cached = Hashtbl.create 4;
       incr = None;
       path_depth = sb.Page.path_depth;
       checkpoint_every;
       txns_since_ckpt = 0;
       closed = false;
+      poisoned = false;
       recovery;
     }
   in
@@ -496,10 +460,7 @@ let open_ ?(pool_pages = 64) ?(checkpoint_every = max_int) (vfs : Vfs.t) =
   in
   let dict_b = segment_bytes st dict_seg in
   let graph_b = segment_bytes st graph_seg in
-  let dict = Seg.decode_dict dict_b in
-  let g = Seg.decode_graph ~dict graph_b in
-  st.dict <- dict;
-  st.graph <- g;
+  st.graph <- Codec.decode_csr ~dict:(Codec.decode_dict dict_b) graph_b;
   st.seg_payloads <- [ ("dict", dict_b); ("graph", graph_b) ];
   (* Mark open-for-write: the clean-flag flip travels through the WAL
      like any other superblock change, so a torn write cannot destroy
@@ -529,20 +490,8 @@ let create ?(page_size = Page.default_page_size) ?(indexes = all_indexes)
     indexes;
   let data = vfs.Vfs.open_file data_file in
   let wal = vfs.Vfs.open_file wal_file in
-  (* Throwaway shell so the segment encoders can cache into it. *)
-  let dict = Seg.dict_of_graph g in
-  let scratch_index name =
-    match name with
-    | "value" -> Value_index.to_bytes (Value_index.build g)
-    | "text" -> Text_index.to_bytes (Text_index.build g)
-    | "path" -> Path_index.to_bytes (Path_index.build ~depth:path_depth g)
-    | "guide" -> Dataguide.to_bytes (Dataguide.build g)
-    | other -> fail "store: unknown index segment %S" other
-  in
   let segs =
-    order_segs
-      ([ ("dict", Seg.encode_dict dict); ("graph", Seg.encode_graph ~dict g) ]
-      @ List.map (fun n -> (n, scratch_index n)) indexes)
+    version_segments g (List.map (fun n -> (n, fst (index_codec n) ~path_depth g)) indexes)
   in
   let dir, n_pages = layout ~page_size segs in
   let sb = { Page.clean = true; next_lsn = 1; n_pages; path_depth; segs = dir } in
@@ -571,13 +520,17 @@ let create ?(page_size = Page.default_page_size) ?(indexes = all_indexes)
 
 let check_open st = if st.closed then fail "store: already closed"
 
+let check_writable st =
+  check_open st;
+  if st.poisoned then fail ~code:"SSD566" "store: a previous commit failed; reopen to recover"
+
 let index_names st =
   List.filter_map
     (fun (s : Page.seg) -> if List.mem s.Page.name all_indexes then Some s.Page.name else None)
     st.sb.Page.segs
 
 let checkpoint st =
-  check_open st;
+  check_writable st;
   if Hashtbl.length st.dirty > 0 || st.wal_size > Wal.header_size then begin
     Metrics.incr m_checkpoints;
     Trace.with_span "store.checkpoint" @@ fun () ->
@@ -607,13 +560,13 @@ let checkpoint st =
       ]
   end
 
-let commit st g =
-  check_open st;
-  Metrics.incr m_commits;
-  Trace.with_span "store.commit" @@ fun () ->
+let commit_version st ?delta g =
   let index_names = index_names st in
-  maintain_indexes st ~index_names g;
-  let dict, segs = encode_version st ~index_names g in
+  maintain_indexes st ~index_names ?delta g;
+  (* The maintainer has just refreshed the cache for every index name. *)
+  let segs =
+    version_segments g (List.map (fun n -> (n, Hashtbl.find st.cached n)) index_names)
+  in
   let dir, n_pages = layout ~page_size:st.page_size segs in
   let lsn = st.sb.Page.next_lsn in
   (* Diff at page granularity: a page is logged if its payload differs
@@ -644,7 +597,6 @@ let commit st g =
     (fun p _ -> if p >= n_pages then Hashtbl.remove st.images p)
     (Hashtbl.copy st.images);
   st.graph <- g;
-  st.dict <- dict;
   st.seg_payloads <- segs;
   st.txns_since_ckpt <- st.txns_since_ckpt + 1;
   update_gauges st;
@@ -656,12 +608,25 @@ let commit st g =
     ];
   if st.txns_since_ckpt >= st.checkpoint_every then checkpoint st
 
+let commit ?delta st g =
+  check_writable st;
+  Metrics.incr m_commits;
+  Trace.with_span "store.commit" @@ fun () ->
+  try commit_version st ?delta g
+  with e ->
+    st.poisoned <- true;
+    update_gauges st;
+    raise e
+
 let close st =
   if not st.closed then begin
     (* The clean flag flips durably in the WAL before the data file is
-       touched; see the protocol note at the top. *)
-    append_txn st ~pages:[] { st.sb with Page.clean = true };
-    checkpoint st;
+       touched; see the protocol note at the top.  A poisoned store
+       writes nothing: the next open recovers from the log. *)
+    if not st.poisoned then begin
+      append_txn st ~pages:[] { st.sb with Page.clean = true };
+      checkpoint st
+    end;
     st.closed <- true;
     st.data.Vfs.close ();
     st.wal.Vfs.close ();
@@ -686,13 +651,7 @@ let wal_size st = st.wal_size - Wal.header_size
 let indexes st = index_names st
 
 (* Canonical bytes of an index segment, for byte-identity checks. *)
-let index_segment_bytes st name =
-  match name with
-  | "value" -> Value_index.to_bytes (value_index st)
-  | "text" -> Text_index.to_bytes (text_index st)
-  | "path" -> Path_index.to_bytes (path_index st)
-  | "guide" -> Dataguide.to_bytes (dataguide st)
-  | other -> fail "store: unknown index segment %S" other
+let index_segment_bytes st name = index_to_bytes (index st name)
 
 type stat = {
   stat_page_size : int;
@@ -826,12 +785,10 @@ let fsck (vfs : Vfs.t) =
                 else begin
                   try
                     match s.Page.name with
-                    | "dict" -> dict := Seg.decode_dict payload
-                    | "graph" -> ignore (Seg.decode_graph ~dict:!dict payload)
-                    | "value" -> ignore (Value_index.of_bytes payload)
-                    | "text" -> ignore (Text_index.of_bytes payload)
-                    | "path" -> ignore (Path_index.of_bytes payload)
-                    | "guide" -> ignore (Dataguide.of_bytes payload)
+                    | "dict" -> dict := Codec.decode_dict payload
+                    | "graph" -> ignore (Codec.decode_csr ~dict:!dict payload)
+                    | name when List.mem name all_indexes ->
+                      ignore (snd (index_codec name) payload)
                     | other ->
                       push
                         (diag Ssd_diag.Warning "SSD564" "fsck: unknown segment %S (%d bytes)"

@@ -39,17 +39,34 @@ val create :
   Ssd.Graph.t ->
   t
 
-(** Open an existing store, running recovery if it is needed.
+(** Open an existing store, running recovery if it is needed.  A data
+    file with a bad header — wrong magic, or a format version other than
+    the current one — raises [Ssd_diag.Fail] with [SSD560].
     [checkpoint_every] bounds the transactions between automatic
     checkpoints (default: only on {!close}). *)
 val open_ : ?pool_pages:int -> ?checkpoint_every:int -> Vfs.t -> t
 
 (** Durably replace the stored graph: segments are re-encoded, changed
     pages and the new superblock are appended to the WAL, and the WAL is
-    fsynced before this returns. *)
-val commit : t -> Ssd.Graph.t -> unit
+    fsynced before this returns.
 
-(** Apply logged pages to the data file and truncate the WAL. *)
+    [delta], when the caller already has it, must equal
+    [Ssd_incr.Delta.diff (graph t) g]; the index maintainer then uses it
+    instead of computing the diff again.
+
+    If the commit fails part-way (an I/O error from the WAL [pwrite] or
+    [fsync], or anything else after index maintenance starts), the
+    unacknowledged transaction is cut from the log where possible and
+    the store is {e poisoned}: every later [commit] and {!checkpoint}
+    raises [SSD566], {!close} releases the files without writing, and
+    the [store.poisoned] gauge reads 1.  Reopening recovers the last
+    acknowledged version.
+
+    @raise Ssd_diag.Fail [SSD566] on a poisoned store. *)
+val commit : ?delta:Ssd_incr.Delta.t -> t -> Ssd.Graph.t -> unit
+
+(** Apply logged pages to the data file and truncate the WAL.
+    @raise Ssd_diag.Fail [SSD566] on a poisoned store. *)
 val checkpoint : t -> unit
 
 (** Apply the log and trim the data file to its live pages (layout is
@@ -57,7 +74,8 @@ val checkpoint : t -> unit
 val compact : t -> unit
 
 (** Checkpoint, set the clean-shutdown flag and close the files; a
-    subsequent {!open_} skips recovery. *)
+    subsequent {!open_} skips recovery.  On a poisoned store it only
+    closes the files, leaving recovery to the next {!open_}. *)
 val close : t -> unit
 
 val graph : t -> Ssd.Graph.t

@@ -1,18 +1,32 @@
 module Graph = Ssd.Graph
 module Codec = Ssd_storage.Codec
+module B = Ssd_storage.Bytesio
 module Pager = Ssd_storage.Pager
 open Gen
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* An exact round-trip: node identities survive (not just the value up
+   to bisimilarity), the two parts the store keeps as separate segments
+   decode on their own, and the encoding is canonical — re-encoding the
+   decode is byte-identical. *)
+let exact_roundtrip what g =
+  let data = Codec.encode g in
+  let g' = Codec.decode data in
+  check_int (what ^ ": same node count") (Graph.n_nodes g) (Graph.n_nodes g');
+  check_int (what ^ ": same edge count") (Graph.n_edges g) (Graph.n_edges g');
+  check_int (what ^ ": same root") (Graph.root g) (Graph.root g');
+  check (what ^ ": same value") true (Ssd.Bisim.equal g g');
+  check (what ^ ": canonical bytes") true (Bytes.equal data (Codec.encode g'));
+  let dict_b, csr_b = Codec.encode_parts g in
+  check (what ^ ": encode is the two parts") true (Bytes.equal data (Bytes.cat dict_b csr_b));
+  let g'' = Codec.decode_csr ~dict:(Codec.decode_dict dict_b) csr_b in
+  check (what ^ ": parts decode alone") true (Bytes.equal data (Codec.encode g''))
+
 let roundtrip_fig1 () =
-  let g = Ssd_workload.Movies.figure1 () in
-  let g' = Codec.decode (Codec.encode g) in
-  (* node identities survive exactly, not just up to bisimilarity *)
-  check_int "same node count" (Graph.n_nodes g) (Graph.n_nodes g');
-  check_int "same root" (Graph.root g) (Graph.root g');
-  check "same value" true (Ssd.Bisim.equal g g')
+  exact_roundtrip "figure1" (Ssd_workload.Movies.figure1 ());
+  exact_roundtrip "movies" (Ssd_workload.Movies.generate ~seed:7 ~n_entries:20 ())
 
 let file_roundtrip () =
   let g = Ssd_workload.Bibdb.generate ~n_papers:30 () in
@@ -41,41 +55,47 @@ let corrupt_diagnostics () =
   (match Codec.decode (Bytes.of_string "NOPE") with
   | exception Codec.Corrupt { offset; expected; found } ->
     check_int "magic offset" 0 offset;
-    check "mentions magic" true (expected = "magic \"SSD1\"");
+    check "mentions magic" true (expected = "magic \"SSDD\"");
     check "shows found bytes" true (found = "\"NOPE\"")
   | _ -> Alcotest.fail "bad magic accepted");
+  (* Hand-built inputs: a dictionary part, then a CSR header and degrees. *)
+  let input ~dict ~csr =
+    let buf = Buffer.create 32 in
+    Buffer.add_string buf "SSDD";
+    B.put_varint buf (List.length dict);
+    List.iter (B.put_string buf) dict;
+    Buffer.add_string buf "SSDG";
+    List.iter (B.put_varint buf) csr;
+    Buffer.to_bytes buf
+  in
+  let rejected_for what data want =
+    match Codec.decode data with
+    | exception Codec.Corrupt { expected; _ } ->
+      Alcotest.(check string) (what ^ " diagnosed") want expected
+    | _ -> Alcotest.fail (what ^ " accepted")
+  in
+  (* The well-formed baseline: one node, no edges. *)
+  check_int "baseline decodes" 1
+    (Graph.n_nodes (Codec.decode (input ~dict:[ "a" ] ~csr:[ 1; 0; 0; 0 ])));
+  rejected_for "unsorted dictionary"
+    (input ~dict:[ "b"; "a" ] ~csr:[ 1; 0; 0; 0 ])
+    "strictly ascending dictionary strings";
+  (* n_nodes = 2, root 0, n_edges = 1, degrees 0 and 0 *)
+  rejected_for "degrees not summing to n_edges"
+    (input ~dict:[] ~csr:[ 2; 0; 1; 0; 0 ])
+    "degrees summing to n_edges = 1";
   (* A huge node count must be rejected against the bytes remaining, not
      allocated. *)
-  let huge = Buffer.create 16 in
-  Buffer.add_string huge "SSD1";
-  Buffer.add_string huge "\xff\xff\xff\xff\x07";
-  (* n_nodes varint *)
-  Buffer.add_char huge '\x00';
-  (* root *)
-  match Codec.decode (Buffer.to_bytes huge) with
+  match Codec.decode (input ~dict:[] ~csr:[ 1 lsl 40; 0 ]) with
   | exception Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "oversized node count accepted"
 
 (* Edge cases the crash-recovery work leans on: the one-node empty
    graph, a node of maximal arity, and labels containing NUL bytes,
-   newlines and multi-byte UTF-8 — all must round-trip exactly through
-   both the wire codec and the store's segment codec. *)
+   newlines and multi-byte UTF-8 — all must round-trip exactly, whole
+   and as the store's two segments. *)
 let edge_case_roundtrips () =
-  let seg_roundtrip g =
-    let dict = Ssd_store.Seg.dict_of_graph g in
-    Ssd_store.Seg.decode_graph ~dict (Ssd_store.Seg.encode_graph ~dict g)
-  in
-  let roundtrips what g =
-    let same g' =
-      Graph.n_nodes g = Graph.n_nodes g'
-      && Graph.n_edges g = Graph.n_edges g'
-      && Graph.root g = Graph.root g'
-      && Ssd.Bisim.equal g g'
-    in
-    check (what ^ " (codec)") true (same (Codec.decode (Codec.encode g)));
-    check (what ^ " (segment)") true (same (seg_roundtrip g))
-  in
-  roundtrips "empty graph" Graph.empty;
+  exact_roundtrip "empty graph" Graph.empty;
   (* one source fanning out to thousands of children *)
   let b = Graph.Builder.create () in
   let r = Graph.Builder.add_node b in
@@ -84,7 +104,7 @@ let edge_case_roundtrips () =
     let v = Graph.Builder.add_node b in
     Graph.Builder.add_edge b r (Ssd.Label.int i) v
   done;
-  roundtrips "maximum-arity node" (Graph.Builder.finish b);
+  exact_roundtrip "maximum-arity node" (Graph.Builder.finish b);
   let nasty =
     [
       "with\000nul";
@@ -106,7 +126,7 @@ let edge_case_roundtrips () =
       let w = Graph.Builder.add_node b in
       Graph.Builder.add_edge b v (Ssd.Label.str s) w)
     nasty;
-  roundtrips "NUL/newline/UTF-8 labels" (Graph.Builder.finish b)
+  exact_roundtrip "NUL/newline/UTF-8 labels" (Graph.Builder.finish b)
 
 let string_table_shares () =
   (* many occurrences of one symbol must be cheaper than distinct ones *)
@@ -162,10 +182,12 @@ let clustering_matters () =
 let properties =
   [
     qtest "encode/decode round-trip" graph (fun g ->
-        let g' = Codec.decode (Codec.encode g) in
+        let data = Codec.encode g in
+        let g' = Codec.decode data in
         Graph.n_nodes g = Graph.n_nodes g'
         && Graph.n_edges g = Graph.n_edges g'
-        && Ssd.Bisim.equal g g');
+        && Ssd.Bisim.equal g g'
+        && Bytes.equal data (Codec.encode g'));
     qtest "encoded size monotone-ish in edges" graph (fun g ->
         Codec.encoded_size g >= Graph.n_nodes g);
     qtest "replay faults bounded" (Q.pair graph (Q.int_range 1 4)) (fun (g, buffer) ->

@@ -1,16 +1,18 @@
-(* The persistent store: segment codecs, page frames, WAL scan,
-   cold-open byte-identity, recovery after an unclean stop, and the
-   stable fsck codes.  The seeded crash schedules live in the separate
-   [crash_fuzz] executable; these are the deterministic unit cases. *)
+(* The persistent store: superblock and page frames, WAL scan,
+   cold-open byte-identity, recovery after an unclean stop or a failed
+   commit, the format version, and the stable fsck codes.  The graph
+   codec behind the dict/graph segments is tested in [test_storage];
+   the seeded crash schedules live in the separate [crash_fuzz]
+   executable.  These are the deterministic unit cases. *)
 
 module Graph = Ssd.Graph
 module Label = Ssd.Label
 module B = Ssd_storage.Bytesio
+module Codec = Ssd_storage.Codec
 module Disk = Ssd_fault.Disk
 module Vfs = Ssd_store.Vfs
 module Page = Ssd_store.Page
 module Wal = Ssd_store.Wal
-module Seg = Ssd_store.Seg
 module Store = Ssd_store.Store
 module Metrics = Ssd_obs.Metrics
 
@@ -20,22 +22,34 @@ let fig1 () = Ssd_workload.Movies.figure1 ()
 let movies n = Ssd_workload.Movies.generate ~seed:7 ~n_entries:n ()
 
 (* ------------------------------------------------------------------ *)
-(* Codecs                                                              *)
+(* Formats                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The dict and graph segment bytes of a fixed graph, pinned through
+   their fingerprint: a codec change that moved any byte of either
+   segment would break every existing store and every recorded
+   fingerprint. *)
+let golden_fingerprint () =
+  check_int "Movies(seed 7, 200 entries)" 2448826362 (Store.fingerprint_graph (movies 200))
+
+(* The dict and graph segments as the store writes them: each decodes
+   on its own, node identities survive, and re-encoding the decode is
+   byte-identical. *)
 let seg_roundtrip () =
   let g = fig1 () in
-  let dict = Seg.dict_of_graph g in
-  let dict' = Seg.decode_dict (Seg.encode_dict dict) in
-  check "dict round-trip" true (dict = dict');
-  let gb = Seg.encode_graph ~dict g in
-  let g' = Seg.decode_graph ~dict:dict' gb in
+  let dict_b, graph_b = Codec.encode_parts g in
+  let dict = Codec.decode_dict dict_b in
+  check "dict is the strings in ascending order" true
+    (Array.to_list dict = List.sort_uniq compare (Array.to_list dict));
+  let g' = Codec.decode_csr ~dict graph_b in
   check_int "nodes" (Graph.n_nodes g) (Graph.n_nodes g');
   check_int "edges" (Graph.n_edges g) (Graph.n_edges g');
   check_int "root" (Graph.root g) (Graph.root g');
   check "same value" true (Ssd.Bisim.equal g g');
   (* Canonical: re-encoding the decode is byte-identical. *)
-  check "canonical bytes" true (Bytes.equal gb (Seg.encode_graph ~dict:dict' g'))
+  let dict_b', graph_b' = Codec.encode_parts g' in
+  check "canonical dict bytes" true (Bytes.equal dict_b dict_b');
+  check "canonical graph bytes" true (Bytes.equal graph_b graph_b')
 
 let superblock_roundtrip () =
   let sb =
@@ -172,6 +186,90 @@ let kill9_recovery () =
   check "close after recovery goes clean" true
     (Store.recovery (Store.open_ vfs2)).Store.was_clean
 
+(* A failed commit — one WAL pwrite or fsync raising an I/O error —
+   poisons the store: further commits and checkpoints refuse with
+   SSD566, and a reopen without close recovers the last acknowledged
+   version with nothing left for fsck to report.  A store that kept
+   committing would reuse the failed commit's LSN, and recovery would
+   merge the orphaned frames into the next transaction. *)
+exception Injected_eio
+
+(* The WAL's [k]th pwrite (fsync) after [arm ()] raises, once; [max_int]
+   never fires. *)
+let failing_wal vfs ~pwrite_countdown ~fsync_countdown =
+  let pw = ref max_int and fs = ref max_int in
+  let fire r =
+    if !r = 0 then begin
+      r := max_int;
+      true
+    end
+    else begin
+      if !r <> max_int then decr r;
+      false
+    end
+  in
+  let open_file name =
+    let f = vfs.Vfs.open_file name in
+    if name <> "wal" then f
+    else
+      {
+        f with
+        Vfs.pwrite =
+          (fun b ~pos ~off ~len ->
+            if fire pw then raise Injected_eio else f.Vfs.pwrite b ~pos ~off ~len);
+        fsync = (fun () -> if fire fs then raise Injected_eio else f.Vfs.fsync ());
+      }
+  in
+  let arm () =
+    pw := pwrite_countdown;
+    fs := fsync_countdown
+  in
+  ({ vfs with Vfs.open_file }, arm)
+
+let poisoned_gauge () = Metrics.gauge_value (Metrics.gauge "store.poisoned")
+
+let expect_ssd566 what f =
+  match f () with
+  | exception Ssd_diag.Fail d -> Alcotest.(check string) what "SSD566" d.Ssd_diag.code
+  | () -> Alcotest.fail (what ^ ": accepted on a poisoned store")
+
+let failed_commit_poisons ~pwrite_countdown ~fsync_countdown () =
+  let mem, vfs = new_mem () in
+  let vfs, arm = failing_wal vfs ~pwrite_countdown ~fsync_countdown in
+  let st = Store.create ~page_size:512 vfs (movies 5) in
+  Store.commit st (movies 7);
+  let acked = Store.fingerprint_graph (movies 7) in
+  arm ();
+  (match Store.commit st (movies 9) with
+  | exception Injected_eio -> ()
+  | () -> Alcotest.fail "the injected I/O error did not surface");
+  check "poisoned gauge" true (poisoned_gauge () = 1.);
+  check_int "memory keeps the acked version" acked (Store.fingerprint st);
+  expect_ssd566 "commit after a failed commit" (fun () -> Store.commit st (movies 9));
+  expect_ssd566 "re-commit of the acked graph" (fun () -> Store.commit st (movies 7));
+  expect_ssd566 "checkpoint" (fun () -> Store.checkpoint st);
+  (* kill -9: reopen the same files without closing. *)
+  let st2 = Store.open_ vfs in
+  check "reopen clears the gauge" true (poisoned_gauge () = 0.);
+  check_int "recovers the last acked version" acked (Store.fingerprint st2);
+  let fresh = Store.create (snd (new_mem ())) (movies 7) in
+  List.iter
+    (fun name ->
+      check (name ^ " segment matches a fresh build") true
+        (Bytes.equal (Store.index_segment_bytes st2 name) (Store.index_segment_bytes fresh name)))
+    (Store.indexes st2);
+  Store.commit st2 (movies 9);
+  Store.close st2;
+  check "fsck finds nothing" true (Store.fsck vfs = []);
+  (* Closing the poisoned handle writes nothing. *)
+  let ops = Vfs.ops mem in
+  Store.close st;
+  check_int "poisoned close does no I/O" ops (Vfs.ops mem);
+  let st3 = Store.open_ vfs in
+  check_int "the post-recovery commit stands" (Store.fingerprint_graph (movies 9))
+    (Store.fingerprint st3);
+  Store.close st3
+
 let compact_preserves () =
   let g1 = movies 12 and g2 = movies 4 in
   let _mem, vfs = new_mem () in
@@ -244,9 +342,24 @@ let fsck_codes () =
     (Store.fingerprint_graph (movies 8)
     = Store.fingerprint (Store.open_ (snd (Vfs.mem_create ~images:unclean Disk.none))))
 
+(* Format version 1 (the SSD1 graph codec inside the guide segment) is
+   not readable: open and fsck both say SSD560. *)
+let old_version_rejected () =
+  let images = images_of_clean_store () in
+  let v1 =
+    mutate images "data" (fun b ->
+        Bytes.set b 4 '\001';
+        b)
+  in
+  check "fsck: SSD560" true (has_code "SSD560" (fsck_with v1));
+  match Store.open_ (snd (Vfs.mem_create ~images:v1 Disk.none)) with
+  | exception Ssd_diag.Fail d -> Alcotest.(check string) "open: SSD560" "SSD560" d.Ssd_diag.code
+  | _ -> Alcotest.fail "a version-1 store opened"
+
 let tests =
   [
     Alcotest.test_case "segment codec round-trip" `Quick seg_roundtrip;
+    Alcotest.test_case "golden dict/graph fingerprint" `Quick golden_fingerprint;
     Alcotest.test_case "superblock round-trip" `Quick superblock_roundtrip;
     Alcotest.test_case "page frame CRC" `Quick page_frame;
     Alcotest.test_case "wal scan and torn tail" `Quick wal_scan;
@@ -255,4 +368,9 @@ let tests =
     Alcotest.test_case "kill -9 recovery" `Quick kill9_recovery;
     Alcotest.test_case "compact preserves content" `Quick compact_preserves;
     Alcotest.test_case "fsck stable codes" `Quick fsck_codes;
+    Alcotest.test_case "format version 1 rejected" `Quick old_version_rejected;
+    Alcotest.test_case "failed WAL pwrite poisons" `Quick
+      (failed_commit_poisons ~pwrite_countdown:1 ~fsync_countdown:max_int);
+    Alcotest.test_case "failed WAL fsync poisons" `Quick
+      (failed_commit_poisons ~pwrite_countdown:max_int ~fsync_countdown:0);
   ]

@@ -105,7 +105,7 @@ type session = {
 
 let make_session st =
   let es = Engine.store ~db:(Store.graph st) () in
-  Engine.set_persist es (fun g -> Store.commit st g);
+  Engine.set_persist es (fun g delta -> Store.commit ~delta st g);
   { engine = Engine.create es; pushes = Queue.create (); subs = [] }
 
 let handle s line =
