@@ -4,6 +4,7 @@ type t = {
   accept : bool array;
   eps : int list array;
   trans : (Lpred.t * int) list array;
+  closures : int list array;
 }
 
 (* Thompson construction.  Fragments are (entry, exit) state pairs; exits
@@ -60,6 +61,21 @@ let rec compile b = function
   | Regex.Plus r -> compile b (Regex.Seq (r, Regex.Star r))
   | Regex.Opt r -> compile b (Regex.Alt (r, Regex.Eps))
 
+let closure_of ~n eps states =
+  let seen = Array.make n false in
+  let rec go s =
+    if not seen.(s) then begin
+      seen.(s) <- true;
+      List.iter go eps.(s)
+    end
+  in
+  List.iter go states;
+  let out = ref [] in
+  for s = n - 1 downto 0 do
+    if seen.(s) then out := s :: !out
+  done;
+  !out
+
 let of_regex r =
   let b = { next = 0; beps = []; btrans = [] } in
   let start, final = compile b r in
@@ -70,28 +86,16 @@ let of_regex r =
   List.iter (fun (u, p, v) -> trans.(u) <- (p, v) :: trans.(u)) b.btrans;
   let accept = Array.make n false in
   accept.(final) <- true;
-  { n; start; accept; eps; trans }
+  let closures = Array.init n (fun q -> closure_of ~n eps [ q ]) in
+  { n; start; accept; eps; trans; closures }
 
 let of_string s = of_regex (Regex.parse s)
 
-let eps_closure nfa states =
-  let seen = Array.make nfa.n false in
-  let rec go s =
-    if not seen.(s) then begin
-      seen.(s) <- true;
-      List.iter go nfa.eps.(s)
-    end
-  in
-  List.iter go states;
-  let out = ref [] in
-  for s = nfa.n - 1 downto 0 do
-    if seen.(s) then out := s :: !out
-  done;
-  !out
+let eps_closure nfa states = closure_of ~n:nfa.n nfa.eps states
 
-let closures nfa = Array.init nfa.n (fun q -> eps_closure nfa [ q ])
+let closures nfa = nfa.closures
 
-let start_set nfa = eps_closure nfa [ nfa.start ]
+let start_set nfa = nfa.closures.(nfa.start)
 
 let step nfa states l =
   let targets =

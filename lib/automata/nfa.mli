@@ -11,6 +11,7 @@ type t = private {
   accept : bool array;
   eps : int list array; (** ε-transitions *)
   trans : (Lpred.t * int) list array; (** guarded transitions *)
+  closures : int list array; (** per-state ε-closures, see {!closures} *)
 }
 
 val of_regex : Regex.t -> t
@@ -21,8 +22,8 @@ val of_string : string -> t
 (** ε-closure of a set of states; result sorted and duplicate-free. *)
 val eps_closure : t -> int list -> int list
 
-(** Per-state ε-closures, precomputed: [closures nfa).(q)] is
-    [eps_closure nfa [q]].  Product traversals call this once and index,
+(** Per-state ε-closures, computed once by {!of_regex}: [(closures
+    nfa).(q)] is [eps_closure nfa [q]].  Product traversals index this
     rather than recomputing closures per transition. *)
 val closures : t -> int list array
 

@@ -1,156 +1,132 @@
 module Graph = Ssd.Graph
 module Pool = Ssd_par.Pool
+module Budget = Ssd.Budget
 
-(* The product searches below run level-synchronous BFS: expand the whole
-   frontier, then merge the discovered pairs, then recurse.  A FIFO queue
-   processes pairs in exactly level order, so this visits the same pairs
-   as the classic queue loop — and the frontier expansion is pure
-   (graph/NFA reads only), so it can run across the domain pool.  The
-   merge happens on the calling domain in frontier order, which keeps the
-   discovered set independent of scheduling and of the jobs count. *)
+module Tbl = Hashtbl.Make (Int)
 
-(* Expand one level: item [i]'s successor pairs, in the same
-   (edge-outer, move-inner) order the sequential loop pushed them. *)
-let expand_level g nfa closures frontier =
-  Pool.map_range (Array.length frontier) (fun i ->
-      let u, q = frontier.(i) in
-      let moves = nfa.Nfa.trans.(q) in
-      if moves = [] then []
-      else
-        List.concat_map
-          (fun (l, v) ->
+(* A (node, state) pair is the int [u * n_states + q]. *)
+type 'e origin =
+  | Start
+  | From of int * 'e (* the pair it was first discovered from, the edge *)
+
+type 'e search = {
+  n_states : int;
+  parent : 'e origin Tbl.t; (* every reached pair *)
+  first_accepting : int Tbl.t; (* accepted node -> its first accepting pair *)
+  expanded : int;
+}
+
+(* Level-synchronous BFS over (node, NFA state) pairs, ε-closures applied
+   eagerly: expand the whole frontier, then merge the discovered pairs,
+   then go on with the next level.  A FIFO queue processes pairs in
+   exactly level order, so this visits the same pairs — with the same
+   first-discovery parents — as the classic queue loop; but the frontier
+   expansion is pure (successor/NFA reads only), so it runs across the
+   domain pool.  Budget steps and the merge happen on the calling domain
+   in frontier order: one step per frontier item, before any expansion,
+   stopping at the first denial.  The expanded set, the discovered set
+   and every parent are therefore independent of scheduling and of the
+   jobs count, even when the budget runs out. *)
+let search ?budget ~succ ~matches nfa ~starts =
+  let n_states = nfa.Nfa.n in
+  let closures = Nfa.closures nfa in
+  let parent = Tbl.create 64 in
+  let first_accepting = Tbl.create 16 in
+  let next = ref [] in
+  let push k origin =
+    if not (Tbl.mem parent k) then begin
+      Tbl.add parent k origin;
+      next := k :: !next
+    end
+  in
+  let start_states = Nfa.start_set nfa in
+  List.iter (fun u -> List.iter (fun q -> push ((u * n_states) + q) Start) start_states) starts;
+  let expanded = ref 0 in
+  let running = ref true in
+  while !running && !next <> [] do
+    let level = Array.of_list (List.rev !next) in
+    next := [];
+    let n = Array.length level in
+    let taken =
+      match budget with
+      | None -> n
+      | Some b ->
+        let k = ref 0 in
+        while !k < n && Budget.step b do
+          incr k
+        done;
+        !k
+    in
+    if taken < n then running := false;
+    expanded := !expanded + taken;
+    (* Item [i]'s successor pairs, in (edge-outer, move-inner) order. *)
+    let succs =
+      Pool.map_range taken (fun i ->
+          match nfa.Nfa.trans.(level.(i) mod n_states) with
+          | [] -> []
+          | moves ->
             List.concat_map
-              (fun (p, q') ->
-                if Lpred.matches p l then List.map (fun q'' -> (v, q'')) closures.(q')
-                else [])
-              moves)
-          (Graph.labeled_succ g u))
-
-let run_pairs g nfa ~starts =
-  (* BFS over (node, nfa state) pairs, NFA ε-closure applied eagerly
-     (closures precomputed once). *)
-  let closures = Nfa.closures nfa in
-  let seen = Hashtbl.create 256 in
-  let next = ref [] in
-  let push u q =
-    if not (Hashtbl.mem seen (u, q)) then begin
-      Hashtbl.add seen (u, q) ();
-      next := (u, q) :: !next
-    end
-  in
-  let start_states = Nfa.start_set nfa in
-  List.iter (fun u -> List.iter (push u) start_states) starts;
-  while !next <> [] do
-    let frontier = Array.of_list (List.rev !next) in
-    next := [];
-    let succs = expand_level g nfa closures frontier in
-    Array.iter (List.iter (fun (v, q) -> push v q)) succs
+              (fun (e, v) ->
+                List.concat_map
+                  (fun (p, q') ->
+                    if matches p e then
+                      List.map (fun q'' -> ((v * n_states) + q'', e)) closures.(q')
+                    else [])
+                  moves)
+              (succ (level.(i) / n_states)))
+    in
+    for i = 0 to taken - 1 do
+      let k = level.(i) in
+      let u = k / n_states in
+      if nfa.Nfa.accept.(k mod n_states) && not (Tbl.mem first_accepting u) then
+        Tbl.add first_accepting u k;
+      List.iter (fun (k', e) -> push k' (From (k, e))) succs.(i)
+    done
   done;
-  seen
+  { n_states; parent; first_accepting; expanded = !expanded }
 
-let accepting_of_pairs nfa pairs =
-  Hashtbl.fold (fun (u, q) () acc -> if nfa.Nfa.accept.(q) then u :: acc else acc) pairs []
-  |> List.sort_uniq compare
+let expanded s = s.expanded
 
-let accepting_nodes g nfa =
-  accepting_of_pairs nfa (run_pairs g nfa ~starts:[ Graph.root g ])
+let accepted s = Tbl.fold (fun u _ acc -> u :: acc) s.first_accepting [] |> List.sort compare
 
-let accepting_nodes_from g nfa ~starts = accepting_of_pairs nfa (run_pairs g nfa ~starts)
+let path_to s u =
+  let rec unwind k acc =
+    match Tbl.find s.parent k with
+    | Start -> acc
+    | From (k', e) -> unwind k' (e :: acc)
+  in
+  Option.map (fun k -> unwind k []) (Tbl.find_opt s.first_accepting u)
 
-let n_pairs g nfa = Hashtbl.length (run_pairs g nfa ~starts:[ Graph.root g ])
+let iter_reached f s = Tbl.iter (fun k _ -> f (k / s.n_states) (k mod s.n_states)) s.parent
 
-(* Like [run_pairs], but also collect the labels of edges the live
-   product actually crosses — the statically-reachable label set the
-   lint pass hands to the optimizer. *)
+let graph_search g nfa ~starts =
+  search ~succ:(Graph.labeled_succ g) ~matches:Lpred.matches nfa ~starts
+
+let accepting_nodes_from g nfa ~starts = accepted (graph_search g nfa ~starts)
+
+let accepting_nodes g nfa = accepting_nodes_from g nfa ~starts:[ Graph.root g ]
+
+(* The crossed labels are collected after the search: every reached pair
+   was expanded (no budget), so a label is crossed iff some reached
+   pair's state has a move that accepts it on one of the node's edges. *)
 let reach g nfa ~starts =
-  let closures = Nfa.closures nfa in
-  let seen = Hashtbl.create 256 in
+  let s = graph_search g nfa ~starts in
   let labels = Hashtbl.create 32 in
-  let next = ref [] in
-  let push u q =
-    if not (Hashtbl.mem seen (u, q)) then begin
-      Hashtbl.add seen (u, q) ();
-      next := (u, q) :: !next
-    end
-  in
-  let start_states = Nfa.start_set nfa in
-  List.iter (fun u -> List.iter (push u) start_states) starts;
-  while !next <> [] do
-    let frontier = Array.of_list (List.rev !next) in
-    next := [];
-    (* Workers return (successor pairs, crossed labels) per item; both
-       are merged here, on the calling domain, in frontier order. *)
-    let expanded =
-      Pool.map_range (Array.length frontier) (fun i ->
-          let u, q = frontier.(i) in
-          let moves = nfa.Nfa.trans.(q) in
-          if moves = [] then ([], [])
-          else
-            List.fold_left
-              (fun (pairs, crossed) (l, v) ->
-                List.fold_left
-                  (fun (pairs, crossed) (p, q') ->
-                    if Lpred.matches p l then
-                      ( List.rev_append
-                          (List.rev_map (fun q'' -> (v, q'')) closures.(q'))
-                          pairs,
-                        l :: crossed )
-                    else (pairs, crossed))
-                  (pairs, crossed) moves)
-              ([], []) (Graph.labeled_succ g u)
-            |> fun (pairs, crossed) -> (List.rev pairs, crossed))
-    in
-    Array.iter
-      (fun (pairs, crossed) ->
-        List.iter (fun l -> Hashtbl.replace labels l ()) crossed;
-        List.iter (fun (v, q) -> push v q) pairs)
-      expanded
-  done;
-  let accepted =
-    Hashtbl.fold (fun (u, q) () acc -> if nfa.Nfa.accept.(q) then u :: acc else acc) seen []
-    |> List.sort_uniq compare
-  in
-  let crossed =
-    Hashtbl.fold (fun l () acc -> l :: acc) labels [] |> List.sort_uniq Ssd.Label.compare
-  in
-  (accepted, crossed)
+  iter_reached
+    (fun u q ->
+      match nfa.Nfa.trans.(q) with
+      | [] -> ()
+      | moves ->
+        List.iter
+          (fun (l, _) ->
+            if List.exists (fun (p, _) -> Lpred.matches p l) moves then
+              Hashtbl.replace labels l ())
+          (Graph.labeled_succ g u))
+    s;
+  ( accepted s,
+    Hashtbl.fold (fun l () acc -> l :: acc) labels [] |> List.sort_uniq Ssd.Label.compare )
 
-let witness g nfa target =
-  (* BFS with parent pointers; stops at the first accepting pair on
-     [target]. *)
-  let closures = Nfa.closures nfa in
-  let parent = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  let push key v =
-    if not (Hashtbl.mem parent key) then begin
-      Hashtbl.add parent key v;
-      Queue.push key queue
-    end
-  in
-  List.iter (fun q -> push (Graph.root g, q) None) (Nfa.start_set nfa);
-  let found = ref None in
-  while !found = None && not (Queue.is_empty queue) do
-    let ((u, q) as key) = Queue.pop queue in
-    if u = target && nfa.Nfa.accept.(q) then found := Some key
-    else
-      List.iter
-        (fun (l, v) ->
-          List.iter
-            (fun (p, q') ->
-              if Lpred.matches p l then
-                List.iter (fun q'' -> push (v, q'') (Some (key, l))) closures.(q'))
-            nfa.Nfa.trans.(q))
-        (Graph.labeled_succ g u)
-  done;
-  match !found with
-  | None -> None
-  | Some key ->
-    let rec unwind key acc =
-      match Hashtbl.find parent key with
-      | None -> acc
-      | Some (prev, l) -> unwind prev (l :: acc)
-    in
-    Some (unwind key [])
+let witness g nfa target = path_to (graph_search g nfa ~starts:[ Graph.root g ]) target
 
 let alphabet g =
   Graph.fold_labeled_edges (fun acc _ l _ -> l :: acc) [] g

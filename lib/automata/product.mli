@@ -6,7 +6,63 @@
     automaton state); a node is an answer iff some reachable pair with it
     is accepting.  Termination on cyclic data is by memoizing the pair
     set — the same idea that makes structural recursion well-defined on
-    cycles. *)
+    cycles.
+
+    {!search} is the one (node, NFA state) product search in the code
+    base.  It is generic over the successor relation, so the same
+    traversal runs over a {!Ssd.Graph.t} (the wrappers below), over
+    UnQL's evaluation store and over a graph schema (the lint pass, with
+    {!Lpred.compatible} as the edge test).  {!accepting_nodes_dfa} and
+    {!accepting_nodes_deriv} are reference evaluators for tests and
+    benchmarks. *)
+
+(** The outcome of a {!search}: every reached (node, state) pair with
+    the pair and edge it was first discovered from, each accepted node
+    with its first accepting pair in BFS order, and the number of pairs
+    expanded.  ['e] is the edge type of the searched graph. *)
+type 'e search
+
+(** [search ?budget ~succ ~matches nfa ~starts] runs the product of the
+    graph given by [succ] (a node's outgoing [(edge, target)] list) with
+    [nfa], starting every node of [starts] in the closed start set; an
+    NFA move guarded by [p] crosses edge [e] iff [matches p e].
+
+    The search is a level-synchronous BFS: each level's expansion runs
+    across the {!Ssd_par.Pool} default pool, and the merge runs on the
+    calling domain in frontier order, so it discovers the same pairs
+    with the same parents as a FIFO queue loop, for every jobs value.
+    [succ] and [matches] must therefore be safe to call from worker
+    domains; [succ] is not called for pairs whose state has no moves.
+
+    With [budget], one {!Ssd.Budget.step} is taken per frontier item on
+    the calling domain, before the level is expanded, and the search
+    stops at the first denial.  Only expanded pairs can accept, so the
+    answer is then a lower bound, and identical for every jobs value. *)
+val search :
+  ?budget:Ssd.Budget.t ->
+  succ:(int -> ('e * int) list) ->
+  matches:(Lpred.t -> 'e -> bool) ->
+  Nfa.t ->
+  starts:int list ->
+  'e search
+
+(** The accepted nodes, sorted. *)
+val accepted : 'e search -> int list
+
+(** [path_to s u] is the edge word from a start node to accepted node
+    [u] along first-discovery parents, ending in [u]'s first accepting
+    pair — the path a FIFO search reaches first; [None] if [u] is not
+    accepted. *)
+val path_to : 'e search -> int -> 'e list option
+
+(** Pairs expanded (one budget step each). *)
+val expanded : 'e search -> int
+
+(** [iter_reached f s] calls [f node state] on every reached pair, in no
+    particular order.  Without a budget every reached pair was expanded;
+    with one, the pairs past the budget cut are reached but not
+    expanded. *)
+val iter_reached : (int -> int -> unit) -> 'e search -> unit
 
 (** Nodes of [g] reachable from the root along a path whose label word the
     NFA accepts.  Sorted, duplicate-free. *)
@@ -23,13 +79,9 @@ val accepting_nodes_from : Ssd.Graph.t -> Nfa.t -> starts:int list -> int list
 val reach :
   Ssd.Graph.t -> Nfa.t -> starts:int list -> int list * Ssd.Label.t list
 
-(** All reachable (node, closed NFA state-set id) pair count — a size
-    diagnostic for the optimization experiments. *)
-val n_pairs : Ssd.Graph.t -> Nfa.t -> int
-
-(** [witness g nfa node] is (one of) the accepted label path(s) from the
-    root to [node], if any — the answer to "where in the database ...?"
-    browsing queries. *)
+(** [witness g nfa node] is the accepted label path from the root to
+    [node] that a breadth-first search finds first, if any — the answer
+    to "where in the database ...?" browsing queries. *)
 val witness : Ssd.Graph.t -> Nfa.t -> int -> Ssd.Label.t list option
 
 (** Baseline evaluator for the benchmarks: memoized search over (node,

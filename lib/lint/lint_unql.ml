@@ -201,28 +201,8 @@ let step_regex env = function
 (* Query-NFA × schema product, transitions gated by predicate
    compatibility (both sides are predicates). *)
 let schema_reach sch nfa ~starts =
-  let closures = Nfa.closures nfa in
-  let seen = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  let push u q =
-    if not (Hashtbl.mem seen (u, q)) then begin
-      Hashtbl.add seen (u, q) ();
-      Queue.push (u, q) queue
-    end
-  in
-  List.iter (fun u -> List.iter (push u) (Nfa.start_set nfa)) starts;
-  while not (Queue.is_empty queue) do
-    let u, q = Queue.pop queue in
-    List.iter
-      (fun (pq, q') ->
-        List.iter
-          (fun (pe, v) ->
-            if Lpred.compatible pq pe then List.iter (push v) closures.(q'))
-          (Gschema.succ sch u))
-      nfa.Nfa.trans.(q)
-  done;
-  Hashtbl.fold (fun (u, q) () acc -> if nfa.Nfa.accept.(q) then u :: acc else acc) seen []
-  |> List.sort_uniq compare
+  Product.accepted
+    (Product.search ~succ:(Gschema.succ sch) ~matches:Lpred.compatible nfa ~starts)
 
 let start_frontier = function
   | Guide g -> [ Graph.root (Dataguide.graph g) ]

@@ -97,13 +97,12 @@ type t = {
      checkpointed, then advanced by the delta of each commit. *)
   mutable incr : Incr_state.t option;
   path_depth : int;
-  checkpoint_every : int;
   mutable txns_since_ckpt : int;
   mutable closed : bool;
-  (* Set when a commit fails part-way: the WAL tail, the maintainer and
-     the cached indexes may no longer agree with [graph], so the store
-     refuses writes until it is reopened (recovery rebuilds a consistent
-     state from the log). *)
+  (* Set when a commit or checkpoint fails part-way: the WAL tail, the
+     maintainer and the cached indexes may no longer agree with [graph]
+     (or [wal_size] with the file), so the store refuses writes until it
+     is reopened (recovery rebuilds a consistent state from the log). *)
   mutable poisoned : bool;
   recovery : recovery;
 }
@@ -383,7 +382,7 @@ let redo_txns ~page_size data wal (scan : Wal.scan_result) =
   wal.Vfs.truncate Wal.header_size;
   wal.Vfs.fsync ()
 
-let open_ ?(pool_pages = 64) ?(checkpoint_every = max_int) (vfs : Vfs.t) =
+let open_ ?(pool_pages = 64) (vfs : Vfs.t) =
   if not (vfs.Vfs.exists data_file) then
     fail "store: no data file (not a store, or not initialized)";
   let data = vfs.Vfs.open_file data_file in
@@ -440,7 +439,6 @@ let open_ ?(pool_pages = 64) ?(checkpoint_every = max_int) (vfs : Vfs.t) =
       cached = Hashtbl.create 4;
       incr = None;
       path_depth = sb.Page.path_depth;
-      checkpoint_every;
       txns_since_ckpt = 0;
       closed = false;
       poisoned = false;
@@ -482,7 +480,7 @@ let open_ ?(pool_pages = 64) ?(checkpoint_every = max_int) (vfs : Vfs.t) =
 (* ------------------------------------------------------------------ *)
 
 let create ?(page_size = Page.default_page_size) ?(indexes = all_indexes)
-    ?(path_depth = 3) ?pool_pages ?checkpoint_every (vfs : Vfs.t) g =
+    ?(path_depth = 3) ?pool_pages (vfs : Vfs.t) g =
   if page_size < Page.min_page_size || page_size > 65536 then
     fail "store: page size %d out of range [%d, 65536]" page_size Page.min_page_size;
   List.iter
@@ -512,7 +510,7 @@ let create ?(page_size = Page.default_page_size) ?(indexes = all_indexes)
   wal.Vfs.fsync ();
   data.Vfs.close ();
   wal.Vfs.close ();
-  open_ ?pool_pages ?checkpoint_every vfs
+  open_ ?pool_pages vfs
 
 (* ------------------------------------------------------------------ *)
 (* Commit / checkpoint / close                                         *)
@@ -529,11 +527,20 @@ let index_names st =
     (fun (s : Page.seg) -> if List.mem s.Page.name all_indexes then Some s.Page.name else None)
     st.sb.Page.segs
 
+(* Run a write path; if it raises, the store is poisoned. *)
+let poisoning st f =
+  try f ()
+  with e ->
+    st.poisoned <- true;
+    update_gauges st;
+    raise e
+
 let checkpoint st =
   check_writable st;
   if Hashtbl.length st.dirty > 0 || st.wal_size > Wal.header_size then begin
     Metrics.incr m_checkpoints;
     Trace.with_span "store.checkpoint" @@ fun () ->
+    poisoning st @@ fun () ->
     let n_flushed = Hashtbl.length st.dirty in
     let wal_dropped = st.wal_size - Wal.header_size in
     let pages = Hashtbl.fold (fun p () acc -> p :: acc) st.dirty [] in
@@ -605,32 +612,35 @@ let commit_version st ?delta g =
       ("lsn", Ssd.Json.Int lsn);
       ("pages_logged", Ssd.Json.Int (List.length pages));
       ("wal_backlog_bytes", Ssd.Json.Int (st.wal_size - Wal.header_size));
-    ];
-  if st.txns_since_ckpt >= st.checkpoint_every then checkpoint st
+    ]
 
 let commit ?delta st g =
   check_writable st;
   Metrics.incr m_commits;
-  Trace.with_span "store.commit" @@ fun () ->
-  try commit_version st ?delta g
-  with e ->
-    st.poisoned <- true;
-    update_gauges st;
-    raise e
+  Trace.with_span "store.commit" @@ fun () -> poisoning st (fun () -> commit_version st ?delta g)
 
 let close st =
   if not st.closed then begin
+    let release () =
+      st.closed <- true;
+      st.data.Vfs.close ();
+      st.wal.Vfs.close ();
+      update_gauges st
+    in
     (* The clean flag flips durably in the WAL before the data file is
        touched; see the protocol note at the top.  A poisoned store
-       writes nothing: the next open recovers from the log. *)
+       writes nothing: the next open recovers from the log.  The files
+       are released even when these writes fail. *)
     if not st.poisoned then begin
-      append_txn st ~pages:[] { st.sb with Page.clean = true };
-      checkpoint st
+      try
+        poisoning st (fun () ->
+            append_txn st ~pages:[] { st.sb with Page.clean = true };
+            checkpoint st)
+      with e ->
+        release ();
+        raise e
     end;
-    st.closed <- true;
-    st.data.Vfs.close ();
-    st.wal.Vfs.close ();
-    update_gauges st
+    release ()
   end
 
 let compact st =

@@ -34,17 +34,17 @@ val create :
   ?indexes:string list ->
   ?path_depth:int ->
   ?pool_pages:int ->
-  ?checkpoint_every:int ->
   Vfs.t ->
   Ssd.Graph.t ->
   t
 
 (** Open an existing store, running recovery if it is needed.  A data
     file with a bad header — wrong magic, or a format version other than
-    the current one — raises [Ssd_diag.Fail] with [SSD560].
-    [checkpoint_every] bounds the transactions between automatic
-    checkpoints (default: only on {!close}). *)
-val open_ : ?pool_pages:int -> ?checkpoint_every:int -> Vfs.t -> t
+    the current one — raises [Ssd_diag.Fail] with [SSD560].  The store
+    checkpoints only when asked ({!checkpoint}, {!compact}) and on
+    {!close}; between checkpoints the WAL grows by one transaction per
+    {!commit}. *)
+val open_ : ?pool_pages:int -> Vfs.t -> t
 
 (** Durably replace the stored graph: segments are re-encoded, changed
     pages and the new superblock are appended to the WAL, and the WAL is
@@ -65,7 +65,11 @@ val open_ : ?pool_pages:int -> ?checkpoint_every:int -> Vfs.t -> t
     @raise Ssd_diag.Fail [SSD566] on a poisoned store. *)
 val commit : ?delta:Ssd_incr.Delta.t -> t -> Ssd.Graph.t -> unit
 
-(** Apply logged pages to the data file and truncate the WAL.
+(** Apply logged pages to the data file and truncate the WAL.  A
+    checkpoint that fails part-way (say the WAL is truncated but its
+    [fsync] raises) poisons the store like a failed {!commit}: the
+    in-memory log position may no longer match the file, and a later
+    commit written there could be acknowledged and then lost.
     @raise Ssd_diag.Fail [SSD566] on a poisoned store. *)
 val checkpoint : t -> unit
 
@@ -75,7 +79,9 @@ val compact : t -> unit
 
 (** Checkpoint, set the clean-shutdown flag and close the files; a
     subsequent {!open_} skips recovery.  On a poisoned store it only
-    closes the files, leaving recovery to the next {!open_}. *)
+    closes the files, leaving recovery to the next {!open_}.  If the
+    checkpoint fails, the store is poisoned, the files are still
+    released, and the error is re-raised. *)
 val close : t -> unit
 
 val graph : t -> Ssd.Graph.t

@@ -4,6 +4,7 @@ module Budget = Ssd.Budget
 module Lpred = Ssd_automata.Lpred
 module Regex = Ssd_automata.Regex
 module Nfa = Ssd_automata.Nfa
+module Product = Ssd_automata.Product
 module Dataguide = Ssd_schema.Dataguide
 module Metrics = Ssd_obs.Metrics
 module Trace = Ssd_obs.Trace
@@ -75,7 +76,7 @@ type ctx = {
   db : Graph.t;
   db_node : int;
   opts : options;
-  nfa_cache : (Regex.t, Nfa.t * int list array) Hashtbl.t;
+  nfa_cache : (Regex.t, Nfa.t) Hashtbl.t;
   budget : Budget.t;
       (* Consumed only at generator positions (automaton frontier pops,
          pattern steps, sfun queue pops) — never while deciding a
@@ -86,16 +87,13 @@ type ctx = {
 let nfa_of ctx r =
   if ctx.opts.cache_nfa then begin
     match Hashtbl.find_opt ctx.nfa_cache r with
-    | Some entry -> entry
+    | Some nfa -> nfa
     | None ->
       let nfa = Nfa.of_regex r in
-      let entry = (nfa, Nfa.closures nfa) in
-      Hashtbl.add ctx.nfa_cache r entry;
-      entry
+      Hashtbl.add ctx.nfa_cache r nfa;
+      nfa
   end
-  else
-    let nfa = Nfa.of_regex r in
-    (nfa, Nfa.closures nfa)
+  else Nfa.of_regex r
 
 (* Instrumented edge listing: every traversal below goes through this. *)
 let succs ctx u =
@@ -134,124 +132,25 @@ let compare_labels a b =
 (* Regular path traversal inside the store                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The two searches below run level-synchronous BFS over (node, state)
-   pairs: a FIFO queue pops in exactly level order, so taking a whole
-   level, expanding it, and merging the discovered pairs in frontier
-   order visits the same pairs in the same order as the classic queue
-   loop — but the expansion is pure (store/NFA reads only), so it can
-   run across the domain pool (Ssd_par).  Budget steps are consumed on
-   the coordinating domain, one per frontier item exactly as the queue
-   loop consumed one per pop, before any expansion: the set of expanded
-   items — and therefore the answer, even a Partial one — is identical
-   for every --jobs value. *)
-
-(* Take the budgeted prefix of a level: one step per item, stopping at
-   the first denial (the remaining items are exactly those the queue
-   loop would never have popped). *)
-let take_budgeted ctx level =
-  let n = Array.length level in
-  let taken = ref 0 in
-  while !taken < n && Budget.step ctx.budget do
-    incr taken
-  done;
-  !taken
-
-let regex_reach ctx start r =
-  let nfa, closures = nfa_of ctx r in
-  let seen = Hashtbl.create 64 in
-  let answers = Hashtbl.create 16 in
-  let next = ref [] in
-  let push u q =
-    if not (Hashtbl.mem seen (u, q)) then begin
-      Hashtbl.add seen (u, q) ();
-      next := (u, q) :: !next
-    end
+(* Both generators run the one product search (Product.search) over the
+   store, with the query budget: one step per frontier item, taken on
+   the coordinating domain, so the answer — even a Partial one — is
+   identical for every --jobs value. *)
+let regex_search ctx start r =
+  let s =
+    Product.search ~budget:ctx.budget ~succ:(succs ctx) ~matches:Lpred.matches
+      (nfa_of ctx r) ~starts:[ start ]
   in
-  List.iter (push start) (Nfa.start_set nfa);
-  let running = ref true in
-  while !running && !next <> [] do
-    let level = Array.of_list (List.rev !next) in
-    next := [];
-    let taken = take_budgeted ctx level in
-    if taken < Array.length level then running := false;
-    Metrics.add m_auto_steps taken;
-    for i = 0 to taken - 1 do
-      let u, q = level.(i) in
-      if nfa.Nfa.accept.(q) then Hashtbl.replace answers u ()
-    done;
-    let expanded =
-      Ssd_par.Pool.map_range taken (fun i ->
-          let u, q = level.(i) in
-          if nfa.Nfa.trans.(q) = [] then []
-          else
-            List.concat_map
-              (fun (l, v) ->
-                List.concat_map
-                  (fun (p, q') ->
-                    if Lpred.matches p l then
-                      List.map (fun q'' -> (v, q'')) closures.(q')
-                    else [])
-                  nfa.Nfa.trans.(q))
-              (succs ctx u))
-    in
-    Array.iter (List.iter (fun (v, q') -> push v q')) expanded
-  done;
-  Hashtbl.fold (fun u () acc -> u :: acc) answers [] |> List.sort_uniq compare
+  Metrics.add m_auto_steps (Product.expanded s);
+  s
+
+let regex_reach ctx start r = Product.accepted (regex_search ctx start r)
 
 (* Like [regex_reach], but also return one (shortest, by BFS order)
    witness path per reached node — the value a path variable binds to. *)
 let regex_reach_paths ctx start r =
-  let nfa, closures = nfa_of ctx r in
-  let parent = Hashtbl.create 64 in
-  let answers = Hashtbl.create 16 in
-  let next = ref [] in
-  let push key prev =
-    if not (Hashtbl.mem parent key) then begin
-      Hashtbl.add parent key prev;
-      next := key :: !next
-    end
-  in
-  List.iter (fun q -> push (start, q) None) (Nfa.start_set nfa);
-  let running = ref true in
-  while !running && !next <> [] do
-    let level = Array.of_list (List.rev !next) in
-    next := [];
-    let taken = take_budgeted ctx level in
-    if taken < Array.length level then running := false;
-    Metrics.add m_auto_steps taken;
-    for i = 0 to taken - 1 do
-      let ((u, q) as key) = level.(i) in
-      if nfa.Nfa.accept.(q) && not (Hashtbl.mem answers u) then begin
-        let rec unwind key acc =
-          match Hashtbl.find parent key with
-          | None -> acc
-          | Some (prev, l) -> unwind prev (l :: acc)
-        in
-        Hashtbl.add answers u (unwind key [])
-      end
-    done;
-    (* Workers return ((v, q''), (parent key, label)) per discovery;
-       merging in frontier order makes first-discovery — and so each
-       witness path — identical to the queue loop's. *)
-    let expanded =
-      Ssd_par.Pool.map_range taken (fun i ->
-          let ((u, q) as key) = level.(i) in
-          if nfa.Nfa.trans.(q) = [] then []
-          else
-            List.concat_map
-              (fun (l, v) ->
-                List.concat_map
-                  (fun (p, q') ->
-                    if Lpred.matches p l then
-                      List.map (fun q'' -> ((v, q''), (key, l))) closures.(q')
-                    else [])
-                  nfa.Nfa.trans.(q))
-              (succs ctx u))
-    in
-    Array.iter (List.iter (fun (key, prev) -> push key (Some prev))) expanded
-  done;
-  Hashtbl.fold (fun u path acc -> (u, path) :: acc) answers []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let s = regex_search ctx start r in
+  List.map (fun u -> (u, Option.get (Product.path_to s u))) (Product.accepted s)
 
 (* Reify a label path as the chain tree {l1: {l2: ... {}}}. *)
 let chain_of_path ctx path =
@@ -519,10 +418,7 @@ and guided_generator ctx env p e =
     | None -> (
       match ctx.opts.dataguide, steps with
       | Some guide, [ Sregex (r, None) ] ->
-        let nfa, _ = nfa_of ctx r in
-        let guide_hits =
-          Ssd_automata.Product.accepting_nodes (Dataguide.graph guide) nfa
-        in
+        let guide_hits = Product.accepting_nodes (Dataguide.graph guide) (nfa_of ctx r) in
         continue_at
           (List.sort_uniq compare
              (List.concat_map (Dataguide.targets guide) guide_hits))

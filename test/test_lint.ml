@@ -209,7 +209,19 @@ let test_schema_target () =
     L.check_src ~lang:L.Unql ~target:(L.Schema schema)
       {|select {r: \t} where {entry.movie.title: \t} <- DB|}
   in
-  Alcotest.(check int) "live under schema" 0 ok.L.dead_paths
+  Alcotest.(check int) "live under schema" 0 ok.L.dead_paths;
+  (* Regex generators go through the query-NFA × schema product. *)
+  let live_regex =
+    L.check_src ~lang:L.Unql ~target:(L.Schema schema)
+      {|select {r: \t} where {<entry._*.title>: \t} <- DB|}
+  in
+  Alcotest.(check int) "regex live under schema" 0 live_regex.L.dead_paths;
+  let dead_regex =
+    L.check_src ~lang:L.Unql ~target:(L.Schema schema)
+      {|select {r: \t} where {<entry.(movie)*.year>: \t} <- DB|}
+  in
+  expect "SSD101" dead_regex;
+  Alcotest.(check int) "regex dead under schema" 1 dead_regex.L.dead_paths
 
 let test_prune () =
   let guide = Ssd_schema.Dataguide.build figure1 in

@@ -270,6 +270,60 @@ let failed_commit_poisons ~pwrite_countdown ~fsync_countdown () =
     (Store.fingerprint st3);
   Store.close st3
 
+(* A checkpoint whose WAL truncate lands but whose fsync raises leaves
+   the in-memory log position past the file's end.  The store must be
+   poisoned: a commit written there would sit behind a run of zero bytes
+   that the WAL scan stops at, so it would be acknowledged and then lost
+   on recovery. *)
+let failed_checkpoint_poisons () =
+  let _mem, vfs = new_mem () in
+  let vfs, arm = failing_wal vfs ~pwrite_countdown:max_int ~fsync_countdown:0 in
+  let st = Store.create ~page_size:512 vfs (movies 5) in
+  Store.commit st (movies 7);
+  arm ();
+  (match Store.checkpoint st with
+  | exception Injected_eio -> ()
+  | () -> Alcotest.fail "the injected fsync error did not surface");
+  expect_ssd566 "commit after a failed checkpoint" (fun () -> Store.commit st (movies 9));
+  (* kill -9: reopen the same files without closing. *)
+  let st2 = Store.open_ vfs in
+  check_int "recovers the last acked version" (Store.fingerprint_graph (movies 7))
+    (Store.fingerprint st2);
+  Store.close st2;
+  check "fsck finds nothing" true (Store.fsck vfs = [])
+
+(* [close] still releases both files when its checkpoint fails, and a
+   second [close] does nothing. *)
+let failed_close_releases () =
+  let _mem, vfs = new_mem () in
+  let vfs, arm = failing_wal vfs ~pwrite_countdown:max_int ~fsync_countdown:1 in
+  let closes = ref 0 in
+  let counting =
+    {
+      vfs with
+      Vfs.open_file =
+        (fun name ->
+          let f = vfs.Vfs.open_file name in
+          { f with Vfs.close = (fun () -> incr closes; f.Vfs.close ()) });
+    }
+  in
+  let st = Store.create ~page_size:512 counting (movies 5) in
+  Store.commit st (movies 7);
+  closes := 0;
+  (* The clean-flag mini-commit fsyncs the WAL once; the checkpoint's
+     WAL fsync is the second. *)
+  arm ();
+  (match Store.close st with
+  | exception Injected_eio -> ()
+  | () -> Alcotest.fail "the injected fsync error did not surface");
+  check_int "both files released" 2 !closes;
+  Store.close st;
+  check_int "a second close does nothing" 2 !closes;
+  let st2 = Store.open_ vfs in
+  check_int "recovers the last acked version" (Store.fingerprint_graph (movies 7))
+    (Store.fingerprint st2);
+  Store.close st2
+
 let compact_preserves () =
   let g1 = movies 12 and g2 = movies 4 in
   let _mem, vfs = new_mem () in
@@ -373,4 +427,6 @@ let tests =
       (failed_commit_poisons ~pwrite_countdown:1 ~fsync_countdown:max_int);
     Alcotest.test_case "failed WAL fsync poisons" `Quick
       (failed_commit_poisons ~pwrite_countdown:max_int ~fsync_countdown:0);
+    Alcotest.test_case "failed checkpoint poisons" `Quick failed_checkpoint_poisons;
+    Alcotest.test_case "failed close releases its files" `Quick failed_close_releases;
   ]
